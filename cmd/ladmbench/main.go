@@ -39,7 +39,6 @@ import (
 	"strings"
 	"time"
 
-	"ladm/internal/analytic"
 	"ladm/internal/core"
 	"ladm/internal/experiments"
 	"ladm/internal/faultinject"
@@ -109,48 +108,26 @@ func main() {
 		base = parallelRunner{inner: pool, degree: *parallel}
 	}
 
-	o := experiments.Options{Scale: *scale, Workers: *workers, Runner: base}
+	o := experiments.Options{Scale: *scale, Workers: *workers}
 	if *full {
 		o.Scale = 1
 	}
-
-	// cacheFidelity separates cached/stored cells by serving tier; ""
-	// keeps the default event tier on the existing v2 keys.
-	var cacheFidelity string
-	switch *fidelity {
-	case "", simsvc.FidelityEvent:
-	case simsvc.FidelityAnalytic, simsvc.FidelityAuto:
-		cacheFidelity = *fidelity
-		tr := &analytic.Runner{Scale: o.Scale, OnDecision: pool.Metrics().ObserveTierDecision}
-		if *fidelity == simsvc.FidelityAuto {
-			tr.Fallback = base
-		}
-		o.Runner = tr
-	default:
-		fmt.Fprintf(os.Stderr, "ladmbench: unknown fidelity %q (valid: event, analytic, auto)\n", *fidelity)
+	if err := simsvc.ValidateFidelity(*fidelity); err != nil {
+		fmt.Fprintln(os.Stderr, "ladmbench:", err)
+		os.Exit(1)
+	}
+	if *remote == "" && (*fault != "" || *hedgeAfter != 0 || *campaignTrace != "") {
+		fmt.Fprintln(os.Stderr, "ladmbench: -fault, -hedge-after and -campaign-trace require -remote")
 		os.Exit(1)
 	}
 
-	// -remote inserts the fleet dispatcher above the (possibly
-	// tier-wrapped) local runner: remote-served cells come back
-	// byte-identical, and any remote failure degrades the cell onto
-	// exactly the runner it would have used without -remote — so the
-	// campaign's records never depend on fleet weather. The cache/store
-	// layer wraps the fleet, so cached cells are never sent anywhere.
+	// -remote puts the fleet dispatcher between the analytic tier and
+	// the local runner: remote-served cells come back byte-identical,
+	// and any remote failure degrades the cell onto exactly the runner
+	// it would have used without -remote — so the campaign's records
+	// never depend on fleet weather.
 	var fl *fleet.Runner
 	var injector *faultinject.Injector
-	if *fault != "" && *remote == "" {
-		fmt.Fprintln(os.Stderr, "ladmbench: -fault requires -remote")
-		os.Exit(1)
-	}
-	if *campaignTrace != "" && *remote == "" {
-		fmt.Fprintln(os.Stderr, "ladmbench: -campaign-trace requires -remote")
-		os.Exit(1)
-	}
-	if *hedgeAfter != 0 && *remote == "" {
-		fmt.Fprintln(os.Stderr, "ladmbench: -hedge-after requires -remote")
-		os.Exit(1)
-	}
 	if *remote != "" {
 		client := &http.Client{}
 		if *fault != "" {
@@ -172,9 +149,7 @@ func main() {
 		var err error
 		fl, err = fleet.New(fleet.Config{
 			Endpoints:  strings.Split(*remote, ","),
-			Local:      o.Runner,
-			Scale:      o.Scale,
-			Fidelity:   cacheFidelity,
+			Local:      base,
 			Client:     client,
 			HedgeAfter: *hedgeAfter,
 			Log:        svcobs.NewLogger(os.Stderr, slog.LevelWarn, false),
@@ -186,9 +161,13 @@ func main() {
 			os.Exit(1)
 		}
 		defer fl.Close()
-		o.Runner = fl
+		base = fl
 	}
 
+	// Every cell takes the one job pipeline: the memory cache — backed by
+	// the store under -store-dir, so a killed campaign resumes with only
+	// the missing cells — then the tier -fidelity selects, then base.
+	cache := simsvc.NewCache(pool.Metrics())
 	var store *simsvc.DiskStore
 	if *storeDir != "" {
 		var err error
@@ -199,29 +178,15 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ladmbench: result store unavailable, running store-less: %v\n", err)
 		} else {
-			cache := simsvc.NewCache(pool.Metrics())
 			cache.SetStore(store)
-			o.Runner = &simsvc.CachedRunner{
-				Inner: o.Runner, Cache: cache, Scale: o.Scale,
-				Fidelity: cacheFidelity, Spill: store,
-			}
 			st := store.Store.Stats()
 			fmt.Fprintf(os.Stderr, "ladmbench: result store %s: %d records, %d bytes\n",
 				*storeDir, st.Records, st.Bytes)
 		}
 	}
+	pipe := &simsvc.CachedRunner{Inner: base, Cache: cache, Fidelity: *fidelity}
 	if *progress {
-		// Progress rides the cache-aware runner's per-cell completion hook;
-		// without -store-dir a memory-only cache provides the same path.
-		cr, ok := o.Runner.(*simsvc.CachedRunner)
-		if !ok {
-			cr = &simsvc.CachedRunner{
-				Inner: o.Runner, Cache: simsvc.NewCache(pool.Metrics()), Scale: o.Scale,
-				Fidelity: cacheFidelity,
-			}
-			o.Runner = cr
-		}
-		cr.Progress = func(done, total int, cell string, cached bool) {
+		pipe.Progress = func(done, total int, cell string, cached bool) {
 			src := "simulated"
 			if cached {
 				src = "cached"
@@ -229,12 +194,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ladmbench: [%d/%d] %s (%s)\n", done, total, cell, src)
 		}
 	}
+	o.Runner = pipe
 	if *workloads != "" {
 		o.Workloads = strings.Split(*workloads, ",")
 		// Validate up front: some experiments (fig11, oversub, scaling)
 		// pin their own workload set and would silently ignore a typo.
 		for _, name := range o.Workloads {
-			if _, err := kernels.ByName(name, o.Scale); err != nil {
+			if err := kernels.Check(name); err != nil {
 				fmt.Fprintf(os.Stderr, "ladmbench: %v\n", err)
 				os.Exit(1)
 			}

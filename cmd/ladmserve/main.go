@@ -14,7 +14,9 @@
 // With -remote, this instance becomes a fleet front end: event-tier
 // jobs dispatch to the listed worker instances with retries, hedging,
 // per-endpoint circuit breaking and /readyz health checks, degrading
-// transparently to the local pool when no remote is healthy. Worker
+// transparently to the local pool when no remote is healthy. The
+// analytic tier answers before the fleet, so under fidelity auto only
+// escalations go remote. Telemetry jobs always run locally. Worker
 // instances run WITHOUT -remote (a worker pointing back at its front
 // end would bounce jobs in a loop).
 //
@@ -113,7 +115,7 @@ func main() {
 	logDebug := flag.Bool("log-debug", false, "log at debug level")
 	remote := flag.String("remote", "",
 		"comma-separated ladmserve endpoints to dispatch jobs to (front-end mode: "+
-			"event-tier jobs fan out with retries, hedging and circuit breaking, and "+
+			"event-tier jobs and tier escalations fan out with retries, hedging and circuit breaking, and "+
 			"degrade to the local pool when no remote is healthy; worker instances "+
 			"must run WITHOUT -remote)")
 	flag.Parse()

@@ -46,7 +46,6 @@ import (
 	"os"
 	"strings"
 
-	"ladm/internal/analytic"
 	"ladm/internal/arch"
 	"ladm/internal/core"
 	"ladm/internal/kernels"
@@ -55,22 +54,6 @@ import (
 	"ladm/internal/simtel"
 	"ladm/internal/stats"
 )
-
-// coreFallback runs escalated jobs on the in-process event engine — the
-// single-run analogue of the worker pool ladmserve hands the tier runner.
-type coreFallback struct{}
-
-func (coreFallback) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error) {
-	out := make([]*stats.Run, len(jobs))
-	for i, j := range jobs {
-		r, err := core.SimulateJob(j)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
-}
 
 func main() {
 	workload := flag.String("workload", "vecadd", "workload name")
@@ -101,20 +84,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ladmsim:", err)
 		os.Exit(1)
 	}
-	spec, err := kernels.ByName(*workload, *scale)
-	if err != nil {
-		fail(err)
-	}
-	pol, err := rt.ByName(*policy)
-	if err != nil {
-		fail(err)
-	}
-	cfg, err := arch.ByName(*machineName)
+	job, err := simsvc.Request{Workload: *workload, Policy: *policy, Machine: *machineName,
+		Scale: *scale, Fidelity: *tier, Parallel: *parallel}.Resolve()
 	if err != nil {
 		fail(err)
 	}
 	if *steal {
-		pol.StealTBs = true
+		// A modified policy is no registry preset: the job loses its
+		// identity, so the analytic tier escalates it.
+		job.Policy.StealTBs = true
+		job.Identity = core.Identity{}
 	}
 
 	telCfg := simtel.Config{
@@ -125,24 +104,15 @@ func main() {
 		telCfg.SampleEvery = *sample
 	}
 	tel := simtel.New(telCfg) // nil when nothing is enabled
+	job.Tel = tel
 
-	job := core.Job{Workload: spec.W, Arch: cfg, Policy: pol, Tel: tel, Parallel: *parallel}
-	var run *stats.Run
-	switch *tier {
-	case "", simsvc.FidelityEvent:
-		run, err = core.SimulateJob(job)
-	case simsvc.FidelityAnalytic, simsvc.FidelityAuto:
-		tr := &analytic.Runner{Scale: *scale}
-		if *tier == simsvc.FidelityAuto {
-			tr.Fallback = coreFallback{}
-		}
-		run, err = tr.Exec(context.Background(), job)
-	default:
-		err = fmt.Errorf("unknown tier %q (valid: event, analytic, auto)", *tier)
-	}
+	// The one job pipeline, with the calling goroutine as its pool.
+	pipe := &simsvc.CachedRunner{Inner: simsvc.Sequential{}, Cache: simsvc.NewCache(nil), Fidelity: *tier}
+	runs, err := pipe.Sweep(context.Background(), []core.Job{job})
 	if err != nil {
 		fail(err)
 	}
+	run := runs[0]
 
 	writeOut := func(path string, write func(io.Writer) error) {
 		f, err := os.Create(path)

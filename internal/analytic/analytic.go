@@ -80,7 +80,7 @@ func escalate(class, format string, args ...any) Decision {
 // AssessJob classifies a job's predictability from its structure alone:
 // policy knobs that make traffic timing-dependent, and access sites
 // whose index equations are not affine. It does not check workload
-// provenance — Runner.Assess adds the registry comparison.
+// provenance — Runner.Assess adds the registry-identity check.
 func AssessJob(job core.Job) Decision {
 	if job.Workload == nil {
 		return escalate(ReasonNoWorkload, "no workload")

@@ -7,8 +7,8 @@ import (
 	"ladm/internal/arch"
 	"ladm/internal/core"
 	"ladm/internal/kernels"
-	"ladm/internal/simtel"
 	rt "ladm/internal/runtime"
+	"ladm/internal/simtel"
 )
 
 // testScale keeps the event-engine reference runs fast; the budget file
@@ -21,7 +21,8 @@ func testJob(t *testing.T, name string, scale int) core.Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.Job{Workload: spec.W, Policy: rt.LADM(), Arch: arch.DefaultHierarchical()}
+	return core.Job{Workload: spec.W, Policy: rt.LADM(), Arch: arch.DefaultHierarchical(),
+		Identity: core.Identity{Workload: name, Policy: "ladm", Machine: "hier", Scale: scale}}
 }
 
 // TestRegularSubsetWithinBudget is the in-tree half of the tiercheck
@@ -118,9 +119,10 @@ func TestPolicyAndArchEscalation(t *testing.T) {
 	}
 }
 
-// TestRunnerEscalatesMutatedAndCustom pins the provenance check: a
-// workload that is not byte-equal to its registry build must escalate
-// even when its access patterns look regular.
+// TestRunnerEscalatesMutatedAndCustom pins the provenance check: a job
+// without a registry identity — a mutated or custom workload — must
+// escalate even when its access patterns look regular, and so must a
+// job named at another scale than the runner's.
 func TestRunnerEscalatesMutatedAndCustom(t *testing.T) {
 	r := &Runner{Scale: testScale}
 
@@ -129,11 +131,13 @@ func TestRunnerEscalatesMutatedAndCustom(t *testing.T) {
 		t.Fatalf("pristine registry workload escalated: %s", d.Reason)
 	}
 
+	// Mutating a named job clears its identity.
 	mutated := testJob(t, "sq-gemm", testScale)
 	mutated.Workload.Launches[0].Times = mutated.Workload.Launches[0].EffTimes() + 1
+	mutated.Identity = core.Identity{}
 	d := r.Assess(mutated)
-	if d.Confidence != ConfidenceEscalate {
-		t.Fatal("mutated launch must escalate")
+	if d.Confidence != ConfidenceEscalate || d.Class != ReasonCustomWorkload {
+		t.Fatalf("mutated launch must escalate as custom: %+v", d)
 	}
 	if !strings.Contains(d.Reason, "custom or mutated") {
 		t.Errorf("unexpected reason: %s", d.Reason)
@@ -141,16 +145,23 @@ func TestRunnerEscalatesMutatedAndCustom(t *testing.T) {
 
 	custom := testJob(t, "vecadd", testScale)
 	custom.Workload.Name = "my-custom-kernel"
+	custom.Identity = core.Identity{}
 	if d := r.Assess(custom); d.Confidence != ConfidenceEscalate {
 		t.Fatal("custom workload must escalate")
 	}
 
-	// Without a registry scale the caller vouches for the workload.
+	if d := r.Assess(testJob(t, "sq-gemm", testScale+1)); d.Confidence != ConfidenceEscalate {
+		t.Error("a job named at another scale must escalate")
+	}
+
+	// Without a registry scale any named job passes, and an unnamed one
+	// still escalates.
 	unscoped := &Runner{}
-	mutated2 := testJob(t, "sq-gemm", testScale)
-	mutated2.Workload.Launches[0].Times++
-	if d := unscoped.Assess(mutated2); d.Confidence != ConfidenceHigh {
-		t.Errorf("scale-less runner re-checked provenance: %s", d.Reason)
+	if d := unscoped.Assess(testJob(t, "sq-gemm", testScale+1)); d.Confidence != ConfidenceHigh {
+		t.Errorf("scale-less runner rejected a named job: %s", d.Reason)
+	}
+	if d := unscoped.Assess(mutated); d.Class != ReasonCustomWorkload {
+		t.Errorf("scale-less runner answered an unnamed job: %+v", d)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"errors"
 
 	"ladm/internal/core"
-	"ladm/internal/kernels"
-	"ladm/internal/kir"
 	"ladm/internal/stats"
 )
 
@@ -25,10 +23,8 @@ type Runner struct {
 	// Fallback runs escalated jobs; a nil Fallback turns escalation into
 	// an error (model-only mode, used by validation harnesses).
 	Fallback Fallback
-	// Scale is the registry scale the jobs were built at. When positive,
-	// Assess verifies each workload against its registry build and
-	// escalates anything mutated or custom; non-positive skips the
-	// provenance check (the caller vouches for the workloads).
+	// Scale, when positive, is the registry scale every job's identity
+	// must carry; a job named at another scale escalates.
 	Scale int
 	// OnDecision, when set, observes every tier decision with its full
 	// assessment — confidence, the bounded reason class, and the
@@ -36,22 +32,18 @@ type Runner struct {
 	OnDecision func(tier string, d Decision)
 }
 
-// Assess classifies one job: AssessJob's structural checks plus the
-// registry-provenance comparison when Scale is set. A workload that is
-// not byte-equal to its registry build at Scale — a custom kernel, a
+// Assess classifies one job: AssessJob's structural checks, after the
+// job's registry identity. A job without one — a custom kernel, a
 // mutated launch — always escalates: the model must never silently
 // answer for inputs it was not validated on.
 func (r *Runner) Assess(job core.Job) Decision {
-	if r.Scale > 0 {
-		if job.Workload == nil {
-			return escalate(ReasonNoWorkload, "no workload")
+	if id := job.Identity; !id.Named() || (r.Scale > 0 && id.Scale != r.Scale) {
+		name := id.Workload
+		if job.Workload != nil {
+			name = job.Workload.Name
 		}
-		spec, err := kernels.ByName(job.Workload.Name, r.Scale)
-		if err != nil || !kir.Equal(spec.W, job.Workload) {
-			return escalate(ReasonCustomWorkload,
-				"workload %s is custom or mutated (no registry match at scale %d)",
-				job.Workload.Name, r.Scale)
-		}
+		return escalate(ReasonCustomWorkload,
+			"workload %s is custom or mutated (no registry identity at this scale)", name)
 	}
 	return AssessJob(job)
 }
@@ -110,13 +102,4 @@ func (r *Runner) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, erro
 		}
 	}
 	return results, nil
-}
-
-// Exec answers a single job.
-func (r *Runner) Exec(ctx context.Context, job core.Job) (*stats.Run, error) {
-	rs, err := r.Sweep(ctx, []core.Job{job})
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
 }

@@ -98,14 +98,14 @@ func TestRunnerSweepSplitsTiers(t *testing.T) {
 // fallback is an error, not a silent wrong answer.
 func TestRunnerNoFallback(t *testing.T) {
 	r := &Runner{}
-	if _, err := r.Exec(context.Background(), testJob(t, "lbm", testScale)); err == nil {
+	if _, err := r.Sweep(context.Background(), []core.Job{testJob(t, "lbm", testScale)}); err == nil {
 		t.Fatal("escalation without a fallback must error")
 	}
-	run, err := r.Exec(context.Background(), testJob(t, "vecadd", testScale))
+	runs, err := r.Sweep(context.Background(), []core.Job{testJob(t, "vecadd", testScale)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Tier != TierAnalytic {
-		t.Errorf("got tier %q, want analytic", run.Tier)
+	if runs[0].Tier != TierAnalytic {
+		t.Errorf("got tier %q, want analytic", runs[0].Tier)
 	}
 }

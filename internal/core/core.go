@@ -2,16 +2,13 @@
 // locality table), plan (LASP placement, scheduling, CRB caching), and
 // simulate (the event-driven NUMA-GPU engine). One call — Simulate — is
 // the whole LADM pipeline of Figure 5 for one workload under one policy on
-// one machine; Sweep fans combinations out across CPU cores for the
-// benchmark harness.
+// one machine. Batches of jobs run on the internal/simsvc worker pool.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"ladm/internal/arch"
 	"ladm/internal/engine"
@@ -20,6 +17,17 @@ import (
 	"ladm/internal/simtel"
 	"ladm/internal/stats"
 )
+
+// Identity names the registry entries a job was built from: the
+// workload, policy and machine names plus the input scale divisor. It is
+// everything a cache, store or remote worker needs to know the job by.
+type Identity struct {
+	Workload, Policy, Machine string
+	Scale                     int
+}
+
+// Named reports whether the identity is set.
+func (id Identity) Named() bool { return id.Workload != "" }
 
 // Job names one simulation: a workload, a policy, and a machine.
 type Job struct {
@@ -36,6 +44,11 @@ type Job struct {
 	// count; 0/1 = sequential). Results are byte-identical at every
 	// degree, so Parallel never participates in job identity or caching.
 	Parallel int
+	// Identity is set only by code that builds the job from registry
+	// names (simsvc.Request.Resolve, the experiments' registry cells).
+	// It stays zero for custom or mutated jobs, and code that changes a
+	// named job's workload, policy or machine must clear it.
+	Identity Identity
 }
 
 // Simulate runs the full pipeline for one job.
@@ -72,54 +85,4 @@ func SimulateJobContext(ctx context.Context, j Job) (*stats.Run, error) {
 		return nil, fmt.Errorf("core: simulate %s/%s: %w", j.Workload.Name, j.Policy.Name, err)
 	}
 	return run, nil
-}
-
-// Sweep simulates all jobs, fanning out across CPUs, and returns results
-// in job order. The first error encountered is returned.
-func Sweep(jobs []Job, workers int) ([]*stats.Run, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	results := make([]*stats.Run, len(jobs))
-	errs := make([]error, len(jobs))
-	next := make(chan int)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				j := jobs[i]
-				run, err := Simulate(j.Workload, j.Arch, j.Policy)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				if j.Label != "" {
-					run.Policy = j.Label
-				}
-				results[i] = run
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

@@ -76,14 +76,13 @@ type Result struct {
 }
 
 // runMatrix sweeps specs x (policy, arch) cells and returns
-// results[workload][cell] in input order.
+// results[workload][cell] in input order. Named cells must only be
+// paired with registry builds at o.Scale.
 func runMatrix(specs []*kernels.Spec, cells []core.Job, o Options) (map[string][]*stats.Run, error) {
 	var jobs []core.Job
 	for _, s := range specs {
 		for _, c := range cells {
-			jobs = append(jobs, core.Job{
-				Workload: s.W, Policy: c.Policy, Arch: c.Arch, Label: c.Label,
-			})
+			jobs = append(jobs, cellJob(s, c, o.scale()))
 		}
 	}
 	runner := o.Runner
@@ -143,7 +142,30 @@ func header(title string) string {
 	return fmt.Sprintf("%s\n%s\n", title, line)
 }
 
-// polCell builds a sweep cell from a policy and machine.
+// polCell builds a sweep cell without a registry identity, for custom
+// machines or workloads that are not registry builds: its jobs are
+// never cached or sent to a fleet.
 func polCell(p rt.Policy, cfg arch.Config, label string) core.Job {
 	return core.Job{Policy: p, Arch: cfg, Label: label}
+}
+
+// namedCell builds a sweep cell from a policy preset and a registered
+// machine name; paired with a registry workload, its jobs carry their
+// registry identity.
+func namedCell(p rt.Policy, machine, label string) core.Job {
+	cfg, err := arch.ByName(machine)
+	if err != nil {
+		panic(err) // the experiments name machines by constant
+	}
+	return core.Job{Policy: p, Arch: cfg, Label: label,
+		Identity: core.Identity{Policy: p.Name, Machine: machine}}
+}
+
+// cellJob instantiates a cell for one workload at the given scale.
+func cellJob(s *kernels.Spec, cell core.Job, scale int) core.Job {
+	cell.Workload = s.W
+	if cell.Identity.Machine != "" {
+		cell.Identity.Workload, cell.Identity.Scale = s.W.Name, scale
+	}
+	return cell
 }

@@ -19,22 +19,20 @@ func Fig4(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	configs := []arch.Config{
-		arch.FourGPUSwitch(90),
-		arch.FourGPUSwitch(180),
-		arch.FourGPUSwitch(360),
-		arch.FourChipletRing(1400),
-		arch.FourChipletRing(2800),
-	}
+	machines := []string{"xbar-90", "xbar-180", "xbar-360", "ring-1400", "ring-2800"}
 	policies := []rt.Policy{
 		rt.BaselineRR(), rt.BatchFTOptimal(), rt.KernelWide(), rt.CODA(),
 	}
 
-	cells := []core.Job{polCell(rt.KernelWide(), arch.MonolithicGPU(), "monolithic")}
-	for _, cfg := range configs {
+	cells := []core.Job{namedCell(rt.KernelWide(), "monolithic", "monolithic")}
+	var configs []arch.Config
+	for _, m := range machines {
 		for _, p := range policies {
-			cells = append(cells, polCell(p, cfg, cfg.Name+"/"+p.Name))
+			c := namedCell(p, m, "")
+			c.Label = c.Arch.Name + "/" + p.Name
+			cells = append(cells, c)
 		}
+		configs = append(configs, cells[len(cells)-1].Arch)
 	}
 	byWL, err := runMatrix(specs, cells, o)
 	if err != nil {
@@ -87,12 +85,11 @@ func fig9Runs(o Options) (map[string][]*stats.Run, []string, error) {
 		return nil, nil, err
 	}
 	sortSpecsByGroup(specs)
-	hier := arch.DefaultHierarchical()
 	var cells []core.Job
 	for _, p := range fig9Policies() {
-		cells = append(cells, polCell(p, hier, ""))
+		cells = append(cells, namedCell(p, "hier", ""))
 	}
-	cells = append(cells, polCell(rt.KernelWide(), arch.MonolithicGPU(), "monolithic"))
+	cells = append(cells, namedCell(rt.KernelWide(), "monolithic", "monolithic"))
 	byWL, err := runMatrix(specs, cells, o)
 	if err != nil {
 		return nil, nil, err
@@ -252,10 +249,9 @@ func Fig11(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	hier := arch.DefaultHierarchical()
 	cells := []core.Job{
-		polCell(rt.LASPRTwice(), hier, "rtwice"),
-		polCell(rt.LASPROnce(), hier, "ronce"),
+		namedCell(rt.LASPRTwice(), "hier", "rtwice"),
+		namedCell(rt.LASPROnce(), "hier", "ronce"),
 	}
 	byWL, err := runMatrix(specs, cells, o)
 	if err != nil {

@@ -142,7 +142,7 @@ func Table4(o Options) (*Result, error) {
 
 	// MPKI is a workload characterization: measure it under H-CODA (the
 	// state-of-the-art baseline the paper's narrative uses).
-	cells := []core.Job{polCell(rt.HCODA(), hier, "h-coda")}
+	cells := []core.Job{namedCell(rt.HCODA(), "hier", "h-coda")}
 	byWL, err := runMatrix(specs, cells, o)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ladm/internal/analytic"
-	"ladm/internal/arch"
 	"ladm/internal/core"
 	rt "ladm/internal/runtime"
 	"ladm/internal/simsvc"
@@ -30,7 +29,7 @@ func Tiercheck(o Options) (*Result, error) {
 		return nil, err
 	}
 	tr := &analytic.Runner{Scale: o.scale()}
-	cell := polCell(rt.LADM(), arch.DefaultHierarchical(), "ladm")
+	cell := namedCell(rt.LADM(), "hier", "ladm")
 
 	var (
 		highSpecs []string
@@ -38,7 +37,7 @@ func Tiercheck(o Options) (*Result, error) {
 		escRows   [][]string
 	)
 	for _, s := range specs {
-		job := core.Job{Workload: s.W, Policy: cell.Policy, Arch: cell.Arch, Label: cell.Label}
+		job := cellJob(s, cell, o.scale())
 		if d := tr.Assess(job); d.Confidence != analytic.ConfidenceHigh {
 			escRows = append(escRows, []string{s.W.Name, d.Reason})
 			continue

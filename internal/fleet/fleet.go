@@ -65,12 +65,10 @@ type Config struct {
 	// (unnameable jobs, fleet-wide unhealth, exhausted retries) run
 	// here. Required — degradation is the design, not an option.
 	Local simsvc.Runner
-	// Scale is the input-scale divisor the sweep's jobs were built at
-	// (0 = simsvc.DefaultScale); it is part of every remote request.
+	// Scale, when positive, is the input-scale divisor every remotely
+	// served job's registry identity must carry; other jobs run on
+	// Local. 0 accepts any scale.
 	Scale int
-	// Fidelity is the serving tier stamped on remote requests
-	// ("" = event).
-	Fidelity string
 	// Client performs the HTTP calls (nil = a default client). Tests
 	// and chaos runs wrap its transport with faultinject.Transport.
 	Client *http.Client
@@ -140,9 +138,9 @@ type endpoint struct {
 	toHalfOpen atomic.Int64
 }
 
-// Runner is the fleet dispatcher. It implements simsvc.Runner (Sweep)
-// for campaign use and simsvc.Fleet (ExecRequest) for the server's
-// per-job path.
+// Runner is the fleet dispatcher. It implements simsvc.Runner and
+// simsvc.Fleet, so the job pipeline of campaigns and of a front-end
+// server calls its Sweep alike; ExecRequest serves one request.
 type Runner struct {
 	cfg     Config
 	client  *http.Client
@@ -235,12 +233,6 @@ func (r *Runner) Close() {
 }
 
 // Config getters with defaults.
-func (r *Runner) scale() int {
-	if r.cfg.Scale > 0 {
-		return r.cfg.Scale
-	}
-	return simsvc.DefaultScale
-}
 func (r *Runner) attemptTimeout() time.Duration {
 	if r.cfg.AttemptTimeout > 0 {
 		return r.cfg.AttemptTimeout
@@ -290,18 +282,20 @@ func (r *Runner) healthInterval() time.Duration {
 	return DefaultHealthInterval
 }
 
-// requestFor maps a sweep job onto the registry Request a remote can
-// serve. ok=false (custom workloads, mutated machines, telemetry
+// requestFor reads the registry Request a remote can serve off a job's
+// identity. ok=false (custom workloads, mutated machines, telemetry
 // collectors) keeps the job local — a remote box cannot hold this
-// process's collector, and unnameable jobs have no stable content key.
+// process's collector, and unnamed jobs have no stable content key.
+// Remote requests are event-tier: the pipeline's analytic tier answers
+// before the fleet is asked.
 func (r *Runner) requestFor(job core.Job) (simsvc.Request, bool) {
-	req, ok := simsvc.RequestForJob(job, r.scale())
-	if !ok {
-		return simsvc.Request{}, false
+	scale := r.cfg.Scale
+	if scale <= 0 {
+		scale = job.Identity.Scale
 	}
-	req.Fidelity = r.cfg.Fidelity
+	req, ok := simsvc.RequestForJob(job, scale)
 	req.Parallel = job.Parallel
-	return req.Normalize(), true
+	return req.Normalize(), ok
 }
 
 // Sweep implements simsvc.Runner: registry-named jobs fan out to the
@@ -423,6 +417,7 @@ func (r *Runner) dispatchSpan(d *dispatch, req simsvc.Request, start time.Time, 
 // failing), the local runner produces the authoritative outcome, so a
 // fleet campaign's results and errors match a pure local run exactly.
 func (r *Runner) ExecRequest(ctx context.Context, req simsvc.Request, job core.Job) (*stats.Run, error) {
+	svcobs.TimelineFrom(ctx).Mark(svcobs.StageRemote)
 	d := r.newDispatch(ctx)
 	start := time.Now()
 	run, err := r.runRemote(ctx, req, d)

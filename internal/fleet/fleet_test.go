@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ladm/internal/analytic"
 	"ladm/internal/core"
 	"ladm/internal/faultinject"
 	"ladm/internal/kir"
@@ -151,6 +152,7 @@ func TestSweepUnnameableStaysLocal(t *testing.T) {
 
 	jobs := testJobs(t, [2]string{"vecadd", "ladm"})
 	jobs[0].Workload = &kir.Workload{Name: "custom-gemm"}
+	jobs[0].Identity = core.Identity{}
 
 	got, err := fl.Sweep(context.Background(), jobs)
 	if err != nil {
@@ -163,6 +165,55 @@ func TestSweepUnnameableStaysLocal(t *testing.T) {
 	s := fl.Snapshot()
 	if s.LocalJobs != 1 || s.RemoteJobs != 0 || hits.Load() != 0 {
 		t.Fatalf("custom job leaked to the fleet: snapshot %+v, hits %d", s, hits.Load())
+	}
+}
+
+// TestPipelineAutoTierBeforeFleet composes the job pipeline over a
+// fleet under fidelity auto: the analytic tier answers high-confidence
+// cells locally, so they never reach a worker; escalations go remote
+// and come back tagged event/escalate. Records are byte-identical to a
+// local auto sweep.
+func TestPipelineAutoTierBeforeFleet(t *testing.T) {
+	tsA, _, hitsA := newWorker(t)
+	tsB, _, hitsB := newWorker(t)
+	local := simsvc.Sequential{Simulate: testSim}
+	fl, err := New(testConfig(local, tsA.URL, tsB.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+
+	jobs := testJobs(t,
+		[2]string{"vecadd", "ladm"}, [2]string{"lbm", "ladm"},
+		[2]string{"sq-gemm", "h-coda"}, [2]string{"spmv-jds", "ladm"})
+	jobs[2].Label = "variant"
+	sweep := func(inner simsvc.Runner) []*stats.Run {
+		t.Helper()
+		pipe := &simsvc.CachedRunner{Inner: inner, Cache: simsvc.NewCache(nil), Fidelity: simsvc.FidelityAuto}
+		runs, err := pipe.Sweep(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runs
+	}
+	got := sweep(fl)
+	want := sweep(local)
+	if g, w := mustJSON(t, got), mustJSON(t, want); g != w {
+		t.Fatalf("fleet pipeline diverged from local:\n got %s\nwant %s", g, w)
+	}
+	for i, tier := range []string{analytic.TierAnalytic, analytic.TierEvent, analytic.TierAnalytic, analytic.TierEvent} {
+		if got[i].Tier != tier {
+			t.Errorf("cell %d (%s) served by %q, want %q", i, got[i].Workload, got[i].Tier, tier)
+		}
+		if tier == analytic.TierEvent && got[i].Confidence != analytic.ConfidenceEscalate {
+			t.Errorf("escalated cell %d tagged %q", i, got[i].Confidence)
+		}
+	}
+	if n := hitsA.Load() + hitsB.Load(); n != 2 {
+		t.Errorf("workers served %d /run requests, want the 2 escalations", n)
+	}
+	if s := fl.Snapshot(); s.RemoteJobs != 2 || s.LocalJobs != 0 || s.DegradedJobs != 0 {
+		t.Errorf("snapshot = %+v, want the 2 escalations remote", s)
 	}
 }
 

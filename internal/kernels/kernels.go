@@ -62,12 +62,20 @@ func Names() []string {
 
 // ByName builds one workload at the given scale.
 func ByName(name string, scale int) (*Spec, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("kernels: unknown workload %q (valid: %s)",
+	if err := Check(name); err != nil {
+		return nil, err
+	}
+	return registry[name](clampScale(scale)), nil
+}
+
+// Check returns ByName's error for an unknown name without building
+// anything.
+func Check(name string) error {
+	if _, ok := registry[name]; !ok {
+		return fmt.Errorf("kernels: unknown workload %q (valid: %s)",
 			name, strings.Join(Names(), " "))
 	}
-	return b(clampScale(scale)), nil
+	return nil
 }
 
 // All builds every workload at the given scale, sorted by name.

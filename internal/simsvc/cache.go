@@ -65,6 +65,15 @@ func (c *Cache) SetStore(store RunStore) {
 	c.mu.Unlock()
 }
 
+// diskStore returns the attached store when it is a DiskStore — the
+// store with a telemetry sibling.
+func (c *Cache) diskStore() *DiskStore {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ds, _ := c.store.(*DiskStore)
+	return ds
+}
+
 // Get returns the completed record cached under key, if any.
 func (c *Cache) Get(key JobKey) (*stats.Run, bool) {
 	c.mu.Lock()

@@ -11,10 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ladm/internal/arch"
 	"ladm/internal/core"
-	"ladm/internal/kernels"
-	rt "ladm/internal/runtime"
 	"ladm/internal/simtel"
 	"ladm/internal/stats"
 )
@@ -351,19 +348,6 @@ func TestSSEResumeCursor(t *testing.T) {
 // campaign's cells back after the fact.
 func TestCachedRunnerSpillsSweepTelemetry(t *testing.T) {
 	const scale = 64
-	spec, err := kernels.ByName("vecadd", scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := rt.ByName("ladm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := arch.ByName("hier")
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	ds := testDiskStore(t, t.TempDir())
 	defer ds.Close()
 	inner := Sequential{Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
@@ -373,12 +357,15 @@ func TestCachedRunnerSpillsSweepTelemetry(t *testing.T) {
 		}
 		return run, nil
 	}}
-	cr := &CachedRunner{Inner: inner, Cache: NewCache(nil), Scale: scale, Spill: ds}
+	cache := NewCache(nil)
+	cache.SetStore(ds)
+	cr := &CachedRunner{Inner: inner, Cache: cache}
 
-	tel := simtel.New(simtel.Config{SampleEvery: simtel.DefaultSampleEvery, Trace: true})
+	telCell := resolveJob(t, "vecadd", "ladm", scale)
+	telCell.Tel = simtel.New(simtel.Config{SampleEvery: simtel.DefaultSampleEvery, Trace: true})
 	jobs := []core.Job{
-		{Workload: spec.W, Policy: pol, Arch: cfg},           // cacheable, no collector
-		{Workload: spec.W, Policy: pol, Arch: cfg, Tel: tel}, // telemetry cell
+		resolveJob(t, "vecadd", "ladm", scale), // cacheable, no collector
+		telCell,
 	}
 	runs, err := cr.Sweep(context.Background(), jobs)
 	if err != nil {
@@ -404,21 +391,9 @@ func TestCachedRunnerSpillsSweepTelemetry(t *testing.T) {
 
 // TestCachedRunnerFidelitySeparation: two campaigns over the same cells,
 // one event-tier and one analytic-tier, must never share cache entries.
+// The cell escalates under auto, so both tiers reach the inner runner.
 func TestCachedRunnerFidelitySeparation(t *testing.T) {
-	const scale = 64
-	spec, err := kernels.ByName("vecadd", scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := rt.ByName("ladm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := arch.ByName("hier")
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := core.Job{Workload: spec.W, Policy: pol, Arch: cfg}
+	job := resolveJob(t, "lbm", "ladm", 64)
 
 	var calls atomic.Int64
 	inner := Sequential{Simulate: func(_ context.Context, j core.Job) (*stats.Run, error) {
@@ -426,8 +401,8 @@ func TestCachedRunnerFidelitySeparation(t *testing.T) {
 		return &stats.Run{Workload: j.Workload.Name, Policy: j.Policy.Name}, nil
 	}}
 	cache := NewCache(nil)
-	event := &CachedRunner{Inner: inner, Cache: cache, Scale: scale}
-	auto := &CachedRunner{Inner: inner, Cache: cache, Scale: scale, Fidelity: FidelityAuto}
+	event := &CachedRunner{Inner: inner, Cache: cache}
+	auto := &CachedRunner{Inner: inner, Cache: cache, Fidelity: FidelityAuto}
 
 	if _, err := event.Sweep(context.Background(), []core.Job{job}); err != nil {
 		t.Fatal(err)

@@ -20,8 +20,12 @@ type stubFleet struct {
 	workers []FleetWorker
 }
 
-func (f *stubFleet) ExecRequest(ctx context.Context, req Request, job core.Job) (*stats.Run, error) {
-	return &stats.Run{Workload: job.Workload.Name}, nil
+func (f *stubFleet) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error) {
+	runs := make([]*stats.Run, len(jobs))
+	for i, job := range jobs {
+		runs[i] = &stats.Run{Workload: job.Workload.Name}
+	}
+	return runs, nil
 }
 
 func (f *stubFleet) Endpoints() []FleetEndpoint {

@@ -148,16 +148,42 @@ func (r Request) Key() JobKey {
 	return k
 }
 
-// Resolve looks the request's names up in the workload, policy and
-// machine registries and returns the executable job. Unknown names
-// produce errors that list the valid options.
+// ValidateFidelity rejects an unknown serving tier, listing the valid
+// ones.
+func ValidateFidelity(fidelity string) error {
+	switch fidelity {
+	case "", FidelityEvent, FidelityAnalytic, FidelityAuto:
+		return nil
+	}
+	return fmt.Errorf("unknown fidelity %q (valid: %s, %s, %s)",
+		fidelity, FidelityEvent, FidelityAnalytic, FidelityAuto)
+}
+
+// Validate checks the request's names against the workload, policy and
+// machine registries without building anything. Its errors are
+// Resolve's, listing the valid options.
+func (r Request) Validate() error {
+	r = r.Normalize()
+	if err := ValidateFidelity(r.Fidelity); err != nil {
+		return err
+	}
+	if err := kernels.Check(r.Workload); err != nil {
+		return err
+	}
+	if _, err := rt.ByName(r.Policy); err != nil {
+		return err
+	}
+	_, err := arch.ByName(r.Machine)
+	return err
+}
+
+// Resolve builds the executable job the request names. The job carries
+// the request's registry identity, so every layer after it knows the
+// job by its JobKey without rebuilding anything.
 func (r Request) Resolve() (core.Job, error) {
 	r = r.Normalize()
-	switch r.Fidelity {
-	case "", FidelityAnalytic, FidelityAuto:
-	default:
-		return core.Job{}, fmt.Errorf("unknown fidelity %q (valid: %s, %s, %s)",
-			r.Fidelity, FidelityEvent, FidelityAnalytic, FidelityAuto)
+	if err := ValidateFidelity(r.Fidelity); err != nil {
+		return core.Job{}, err
 	}
 	spec, err := kernels.ByName(r.Workload, r.Scale)
 	if err != nil {
@@ -171,7 +197,32 @@ func (r Request) Resolve() (core.Job, error) {
 	if err != nil {
 		return core.Job{}, err
 	}
-	return core.Job{Workload: spec.W, Policy: pol, Arch: cfg, Parallel: r.Parallel}, nil
+	return core.Job{Workload: spec.W, Policy: pol, Arch: cfg, Parallel: r.Parallel,
+		Identity: r.identity()}, nil
+}
+
+// identity is the registry identity of a normalized request.
+func (r Request) identity() core.Identity {
+	return core.Identity{Workload: r.Workload, Policy: r.Policy, Machine: r.Machine, Scale: r.Scale}
+}
+
+// RequestForJob reads back the Request a job was resolved from: ok only
+// when the job carries a registry identity at the given scale and no
+// caller-owned telemetry collector. Custom and mutated jobs (hwvalid's
+// CustomGEMM, oversub's repeated launches, scaling's resized machines)
+// carry no identity, so they have no content key and are never served
+// from, or written to, the result cache, nor sent to a fleet.
+func RequestForJob(job core.Job, scale int) (Request, bool) {
+	id := job.Identity
+	if !id.Named() || job.Tel != nil || id.Scale != scale {
+		return Request{}, false
+	}
+	return requestOf(id), true
+}
+
+// requestOf is the Request a registry identity names.
+func requestOf(id core.Identity) Request {
+	return Request{Workload: id.Workload, Policy: id.Policy, Machine: id.Machine, Scale: id.Scale}
 }
 
 // Derived holds the headline metrics computed from a raw record, so JSON

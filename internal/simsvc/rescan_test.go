@@ -6,10 +6,7 @@ import (
 	"errors"
 	"testing"
 
-	"ladm/internal/arch"
 	"ladm/internal/core"
-	"ladm/internal/kernels"
-	rt "ladm/internal/runtime"
 	"ladm/internal/stats"
 )
 
@@ -30,22 +27,7 @@ func TestCachedRunnerCrossProcessRescan(t *testing.T) {
 	const scale = 8
 	dir := t.TempDir()
 
-	mkJob := func() core.Job {
-		t.Helper()
-		spec, err := kernels.ByName("vecadd", scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pol, err := rt.ByName("ladm")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := arch.ByName("hier")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return core.Job{Workload: spec.W, Policy: pol, Arch: cfg}
-	}
+	mkJob := func() core.Job { return resolveJob(t, "vecadd", "ladm", scale) }
 
 	// "Process B" opens its store first, so its index predates A's write.
 	dsB := testDiskStore(t, dir)
@@ -60,7 +42,7 @@ func TestCachedRunnerCrossProcessRescan(t *testing.T) {
 			return &stats.Run{Workload: j.Workload.Name, Policy: j.Policy.Name,
 				Arch: j.Arch.Name, Cycles: 1234, WarpInstrs: 99}, nil
 		}},
-		Cache: cacheA, Scale: scale,
+		Cache: cacheA,
 	}
 	want, err := runnerA.Sweep(context.Background(), []core.Job{mkJob()})
 	if err != nil {
@@ -72,7 +54,7 @@ func TestCachedRunnerCrossProcessRescan(t *testing.T) {
 	// the rescan-on-miss path can satisfy it.
 	cacheB := NewCache(nil)
 	cacheB.SetStore(dsB)
-	runnerB := &CachedRunner{Inner: refuseRunner{}, Cache: cacheB, Scale: scale}
+	runnerB := &CachedRunner{Inner: refuseRunner{}, Cache: cacheB}
 	got, err := runnerB.Sweep(context.Background(), []core.Job{mkJob()})
 	if err != nil {
 		t.Fatalf("cross-process cell was recomputed or missed: %v", err)

@@ -13,8 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ladm/internal/analytic"
-	"ladm/internal/core"
 	"ladm/internal/kernels"
 	"ladm/internal/simtel"
 	"ladm/internal/stats"
@@ -118,6 +116,8 @@ func (sw *sweepRecord) tick(rec *jobRecord, status string, cached bool) {
 type Server struct {
 	pool  *Pool
 	cache *Cache
+	// pipe is every job's path: cache → tier → fleet → pool.
+	pipe *CachedRunner
 
 	// obs is the service-plane observability root: stage histograms,
 	// the wall-clock service tracer and the /statusz indexes. Never
@@ -152,10 +152,10 @@ type Server struct {
 	// maxBody caps request body size on the POST endpoints.
 	maxBody int64
 
-	// fleet, when non-nil, serves event-tier non-telemetry jobs through
-	// a remote dispatcher before the local pool (internal/fleet,
-	// attached via -remote). Its metrics join /metrics and its
-	// per-endpoint health joins /statusz.
+	// fleet, when non-nil, is the pipeline's Inner: it serves event-tier
+	// jobs and tier escalations remotely, degrading to the local pool
+	// (internal/fleet, attached via -remote). Its metrics join /metrics
+	// and its per-endpoint health joins /statusz.
 	fleet Fleet
 
 	// draining flips when shutdown begins: /readyz answers 503 so
@@ -167,9 +167,9 @@ type Server struct {
 // one is attached (implemented by internal/fleet.Runner; declared here
 // so the fleet package can depend on simsvc without a cycle).
 type Fleet interface {
-	// ExecRequest serves one job remotely, degrading to its local
-	// runner on failure.
-	ExecRequest(ctx context.Context, req Request, job core.Job) (*stats.Run, error)
+	// Sweep serves named jobs remotely and everything else — and every
+	// job no remote can serve — on its local runner.
+	Runner
 	// Endpoints snapshots per-endpoint health for /statusz.
 	Endpoints() []FleetEndpoint
 	// Cluster scrapes every endpoint's /statusz and /metrics and merges
@@ -212,9 +212,11 @@ const retainSweeps = 1024
 
 // NewServer wraps a pool with a result cache and a job registry.
 func NewServer(pool *Pool) *Server {
+	cache := NewCache(pool.Metrics())
 	return &Server{
 		pool:      pool,
-		cache:     NewCache(pool.Metrics()),
+		cache:     cache,
+		pipe:      &CachedRunner{Inner: pool, Cache: cache},
 		obs:       svcobs.NewObserver(nil),
 		jobs:      map[string]*jobRecord{},
 		sweeps:    map[string]*sweepRecord{},
@@ -247,9 +249,16 @@ func (s *Server) SetStore(store *DiskStore) {
 	s.cache.SetStore(store)
 }
 
-// SetFleet attaches a remote-dispatch fleet in front of the local pool
-// for event-tier, non-telemetry jobs. Call before serving; nil detaches.
-func (s *Server) SetFleet(f Fleet) { s.fleet = f }
+// SetFleet attaches a remote-dispatch fleet in front of the local pool:
+// the analytic tier still answers first, so the fleet sees event-tier
+// jobs and escalations only. Call before serving; nil detaches.
+func (s *Server) SetFleet(f Fleet) {
+	s.fleet = f
+	s.pipe.Inner = s.pool
+	if f != nil {
+		s.pipe.Inner = f
+	}
+}
 
 // SetDraining marks the server as shutting down: /readyz answers 503 so
 // fleets and load balancers stop routing new jobs here, while requests
@@ -581,86 +590,21 @@ func (s *Server) setStatus(rec *jobRecord, status string) {
 // bound), it was not canceled by its client.
 var ErrJobTimeout = errors.New("simsvc: job deadline exceeded")
 
-// execute runs one tracked job to completion through the cache and pool.
+// execute runs one tracked job to completion through the pipeline.
 func (s *Server) execute(ctx context.Context, rec *jobRecord) {
 	// The timeline rides the context from here on: the cache marks its
-	// probe stages, the pool marks queue wait and compute, all without
-	// any of them knowing about job records.
+	// probe stages, the pipeline the tier and spill, the fleet remote
+	// dispatch, the pool queue wait and compute — all without any of
+	// them knowing about job records.
 	ctx = svcobs.WithTimeline(ctx, rec.tl)
-	job, err := rec.req.Resolve()
-	if err != nil {
-		s.finishJob(ctx, rec, nil, false, err)
-		return
-	}
 	parent := ctx
 	if s.jobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.jobTimeout)
 		defer cancel()
 	}
-	var tel *simtel.Collector
-	if rec.req.Telemetry {
-		tel = simtel.New(simtel.Config{
-			SampleEvery: simtel.DefaultSampleEvery,
-			Trace:       true,
-		})
-		job.Tel = tel
-	}
 	s.setStatus(rec, StatusRunning)
-	exec := s.pool.Exec
-	if s.fleet != nil && rec.req.Fidelity == "" && !rec.req.Telemetry {
-		// Front-end mode: event-tier jobs dispatch to the fleet, which
-		// degrades to this server's own pool when no remote can serve.
-		// Telemetry jobs always run locally — a remote box cannot feed
-		// this process's collector — and fidelity jobs keep their local
-		// tier-decision path (metrics, escalation logging) intact.
-		req := rec.req
-		exec = func(ctx context.Context, job core.Job) (*stats.Run, error) {
-			if tl := svcobs.TimelineFrom(ctx); tl != nil {
-				tl.Mark(svcobs.StageRemote)
-			}
-			return s.fleet.ExecRequest(ctx, req, job)
-		}
-	}
-	if rec.req.Fidelity != "" {
-		// The fidelity tiers route through the two-tier oracle: the
-		// closed-form model answers what it can, and under "auto" the
-		// rest escalates transparently into the same pool (queueing,
-		// timeouts and panic isolation apply unchanged). "analytic" has
-		// no fallback — a job outside the model's domain fails rather
-		// than silently switching tiers.
-		m := s.pool.Metrics()
-		tr := &analytic.Runner{
-			Scale: rec.req.Scale,
-			OnDecision: func(tier string, d analytic.Decision) {
-				m.ObserveTierDecision(tier, d)
-				if tier != analytic.TierAnalytic {
-					svcobs.Log(ctx).InfoContext(ctx, "simsvc: tier escalation",
-						"job", rec.id, "class", d.Class, "reason", d.Reason)
-				}
-			},
-		}
-		if rec.req.Fidelity == FidelityAuto {
-			tr.Fallback = s.pool
-		}
-		exec = tr.Exec
-	}
-	tiered := rec.req.Fidelity != ""
-	run, cached, err := s.cache.Do(ctx, rec.key, func() (*stats.Run, error) {
-		if tiered {
-			rec.tl.Mark(svcobs.StageTier)
-		}
-		return exec(ctx, job)
-	})
-	if tel != nil {
-		if cached {
-			// An identical in-flight or cached job produced the record;
-			// this collector never saw the engine.
-			tel = nil
-		} else if err == nil && run != nil && run.Telemetry != nil {
-			s.pool.Metrics().observeTelemetry(run.Telemetry.PeakLinkUtil)
-		}
-	}
+	run, tel, cached, err := s.pipe.Exec(ctx, rec.req)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) &&
 		s.jobTimeout > 0 && parent.Err() == nil {
 		// The server's own deadline fired, not the client's context:
@@ -670,19 +614,6 @@ func (s *Server) execute(ctx context.Context, rec *jobRecord) {
 	s.mu.Lock()
 	rec.tel = tel
 	s.mu.Unlock()
-	if tel != nil && err == nil && s.store != nil {
-		// Spill the full observability output so telemetry survives job
-		// eviction and server restarts; write-behind, off the hot path.
-		rec.tl.Mark(svcobs.StageSpill)
-		trec := &TelemetryRecord{
-			Summary: run.Telemetry,
-			Series:  tel.Series(),
-			Events:  tel.AllEvents(),
-		}
-		if s.store.PutTelemetry(rec.key, trec) {
-			s.pool.Metrics().telemetrySpilled.Add(1)
-		}
-	}
 	s.finishJob(ctx, rec, run, cached, err)
 }
 
@@ -742,7 +673,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	norm := req.Request.Normalize()
-	if _, err := norm.Resolve(); err != nil {
+	if err := norm.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -839,7 +770,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		for _, m := range req.Machines {
 			for _, p := range req.Policies {
 				cell := Request{Workload: wl, Policy: p, Machine: m, Scale: req.Scale, Fidelity: req.Fidelity}.Normalize()
-				if _, err := cell.Resolve(); err != nil {
+				if err := cell.Validate(); err != nil {
 					writeError(w, http.StatusBadRequest, err)
 					return
 				}

@@ -1,18 +1,10 @@
 package simsvc
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"reflect"
-	"sync"
 
-	"ladm/internal/arch"
-	"ladm/internal/core"
-	"ladm/internal/kernels"
-	"ladm/internal/kir"
-	rt "ladm/internal/runtime"
 	"ladm/internal/simstore"
 	"ladm/internal/simtel"
 	"ladm/internal/stats"
@@ -170,237 +162,5 @@ func (d *DiskStore) Close() {
 	d.Store.Close()
 	if d.Tel != nil {
 		d.Tel.Close()
-	}
-}
-
-// RequestForJob maps a sweep job back to the registry Request naming it,
-// if one exists: the workload must be byte-equal to its registry build
-// at the given scale, the policy must be a named preset, and the machine
-// must be a registered configuration. Custom or mutated jobs (hwvalid's
-// CustomGEMM, oversub's repeated launches, scaling's resized hierarchies,
-// telemetry-carrying jobs) report ok=false — they have no stable content
-// key and must not be served from, or written to, the result cache.
-func RequestForJob(job core.Job, scale int) (Request, bool) {
-	if job.Tel != nil || job.Workload == nil {
-		return Request{}, false
-	}
-	spec, err := kernels.ByName(job.Workload.Name, scale)
-	if err != nil || !kir.Equal(spec.W, job.Workload) {
-		return Request{}, false
-	}
-	return namedRequest(job, scale)
-}
-
-// namedRequest finishes the mapping once the workload is known to match
-// its registry build: the policy must be a preset, the machine a
-// registered configuration.
-func namedRequest(job core.Job, scale int) (Request, bool) {
-	pol, err := rt.ByName(job.Policy.Name)
-	if err != nil || !reflect.DeepEqual(pol, job.Policy) {
-		return Request{}, false
-	}
-	machine, ok := machineName(job.Arch)
-	if !ok {
-		return Request{}, false
-	}
-	return Request{
-		Workload: job.Workload.Name,
-		Policy:   pol.Name,
-		Machine:  machine,
-		Scale:    scale,
-	}.Normalize(), true
-}
-
-// machineName reverse-looks-up a configuration in the machine registry.
-// arch.Config is a flat comparable value, so mutated variants (resized
-// hierarchies, capacity caps) simply compare unequal.
-func machineName(cfg arch.Config) (string, bool) {
-	for _, name := range arch.Names() {
-		if built, err := arch.ByName(name); err == nil && built == cfg {
-			return name, true
-		}
-	}
-	return "", false
-}
-
-// CachedRunner routes registry-named sweep cells through a result cache
-// (and whatever durable store backs it) by JobKey, falling back to the
-// inner Runner for everything it cannot name. It closes the ROADMAP's
-// "cache-aware sweeps" item: `ladmbench -experiment all` stops
-// re-simulating the fig9 matrix for fig10, and a campaign killed
-// mid-flight resumes from disk with only the missing cells simulated.
-//
-// Cached records are shared across callers, so labelled cells receive a
-// clone with the label applied — the canonical record in the cache is
-// never mutated.
-type CachedRunner struct {
-	// Inner executes the jobs that actually need simulating.
-	Inner Runner
-	// Cache is the (optionally store-backed) result cache.
-	Cache *Cache
-	// Scale is the input-scale divisor the sweep's workloads were built
-	// at; it is part of every JobKey.
-	Scale int
-	// Fidelity names the serving tier Inner answers with ("" = event).
-	// It is part of every JobKey, so a campaign run through the analytic
-	// oracle can never collide with — or be served from — event-tier
-	// records of the same cells.
-	Fidelity string
-	// Spill, when non-nil, receives the telemetry of sweep cells that
-	// carry a collector, through the same simsvc-telemetry/v1 path as
-	// POST /run jobs: a -experiment campaign's cells become replayable
-	// in Perfetto via GET /jobs/{key}/telemetry or ladmstore.
-	Spill *DiskStore
-	// Progress, when set, is called once per finished cell with the
-	// completed count so far, the sweep's total, the cell's name and
-	// whether it was served from the cache. Calls are serialized but may
-	// come from any of the sweep's goroutines; keep the callback fast.
-	Progress func(done, total int, cell string, cached bool)
-}
-
-// Sweep executes the jobs, serving registry-named cells from the cache
-// where possible, and returns records in job order. Results match a
-// plain pool sweep byte for byte — the determinism guard extends to the
-// cached path.
-func (c *CachedRunner) Sweep(ctx context.Context, jobs []core.Job) ([]*stats.Run, error) {
-	results := make([]*stats.Run, len(jobs))
-	var (
-		passJobs []core.Job
-		passIdx  []int
-	)
-	// Registry workload builds are not free; reuse them per name within
-	// this sweep when probing whether a job is cacheable.
-	specCache := map[string]*kir.Workload{}
-	requestFor := func(job core.Job) (Request, bool) {
-		if job.Tel != nil || job.Workload == nil {
-			return Request{}, false
-		}
-		w, probed := specCache[job.Workload.Name]
-		if !probed {
-			if spec, err := kernels.ByName(job.Workload.Name, c.Scale); err == nil {
-				w = spec.W
-			}
-			specCache[job.Workload.Name] = w
-		}
-		if w == nil || !kir.Equal(w, job.Workload) {
-			return Request{}, false
-		}
-		req, ok := namedRequest(job, c.Scale)
-		if !ok {
-			return Request{}, false
-		}
-		req.Fidelity = c.Fidelity
-		return req.Normalize(), true
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		progMu   sync.Mutex
-		done     int
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	tick := func(job core.Job, cached bool) {
-		if c.Progress == nil {
-			return
-		}
-		cell := job.Label
-		if cell == "" && job.Workload != nil {
-			cell = fmt.Sprintf("%s/%s", job.Workload.Name, job.Policy.Name)
-		}
-		progMu.Lock()
-		done++
-		c.Progress(done, len(jobs), cell, cached)
-		progMu.Unlock()
-	}
-	for i, job := range jobs {
-		req, ok := requestFor(job)
-		if !ok {
-			passJobs = append(passJobs, job)
-			passIdx = append(passIdx, i)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, job core.Job, key JobKey) {
-			defer wg.Done()
-			label := job.Label
-			// The cache holds the canonical record (run.Policy = the
-			// policy's own name); labels are applied to clones below.
-			job.Label = ""
-			run, hit, err := c.Cache.Do(ctx, key, func() (*stats.Run, error) {
-				rs, err := c.Inner.Sweep(ctx, []core.Job{job})
-				if err != nil {
-					return nil, err
-				}
-				return rs[0], nil
-			})
-			if err != nil {
-				fail(err)
-				return
-			}
-			tick(job, hit)
-			if label != "" {
-				run = run.Clone()
-				run.Policy = label
-			}
-			results[i] = run
-		}(i, job, req.Key())
-	}
-	if len(passJobs) > 0 {
-		rs, err := c.Inner.Sweep(ctx, passJobs)
-		if err != nil {
-			fail(err)
-		} else {
-			for k, i := range passIdx {
-				results[i] = rs[k]
-				tick(passJobs[k], false)
-			}
-			c.spillTelemetry(passJobs, rs)
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
-}
-
-// spillTelemetry persists the telemetry of registry-named cells that ran
-// with a collector, keyed exactly as their POST /run telemetry twin
-// would be, so GET /jobs/{key}/telemetry and ladmstore read a campaign's
-// cells back like any server-side telemetry job. Cells that cannot be
-// named (custom workloads, mutated machines) keep their collectors
-// in-memory only, as before.
-func (c *CachedRunner) spillTelemetry(jobs []core.Job, runs []*stats.Run) {
-	if c.Spill == nil {
-		return
-	}
-	for i, job := range jobs {
-		if job.Tel == nil || runs[i] == nil || job.Workload == nil {
-			continue
-		}
-		spec, err := kernels.ByName(job.Workload.Name, c.Scale)
-		if err != nil || !kir.Equal(spec.W, job.Workload) {
-			continue
-		}
-		req, ok := namedRequest(job, c.Scale)
-		if !ok {
-			continue
-		}
-		req.Telemetry = true
-		req.Fidelity = c.Fidelity
-		rec := &TelemetryRecord{
-			Summary: runs[i].Telemetry,
-			Series:  job.Tel.Series(),
-			Events:  job.Tel.AllEvents(),
-		}
-		c.Spill.PutTelemetry(req.Normalize().Key(), rec)
 	}
 }

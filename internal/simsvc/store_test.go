@@ -12,13 +12,19 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ladm/internal/arch"
 	"ladm/internal/core"
-	"ladm/internal/kernels"
-	rt "ladm/internal/runtime"
-	"ladm/internal/simtel"
 	"ladm/internal/stats"
 )
+
+// resolveJob resolves a registry-named job on the default machine.
+func resolveJob(t *testing.T, workload, policy string, scale int) core.Job {
+	t.Helper()
+	job, err := Request{Workload: workload, Policy: policy, Scale: scale}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
 
 func testDiskStore(t *testing.T, dir string) *DiskStore {
 	t.Helper()
@@ -151,59 +157,6 @@ func TestDiskStoreRejectsNonRunPayload(t *testing.T) {
 	}
 }
 
-func TestRequestForJob(t *testing.T) {
-	const scale = 8
-	namedJob := func() core.Job {
-		t.Helper()
-		spec, err := kernels.ByName("vecadd", scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pol, err := rt.ByName("ladm")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := arch.ByName("hier")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return core.Job{Workload: spec.W, Policy: pol, Arch: cfg}
-	}
-
-	req, ok := RequestForJob(namedJob(), scale)
-	want := Request{Workload: "vecadd", Policy: "ladm", Machine: "hier", Scale: scale}.Normalize()
-	if !ok || req != want {
-		t.Fatalf("named job: %+v, %v; want %+v", req, ok, want)
-	}
-
-	// A workload mutated away from its registry build (oversub's repeated
-	// launches) must not be cached under the registry name.
-	mutated := namedJob()
-	mutated.Workload.Launches[0].Times += 2
-	if _, ok := RequestForJob(mutated, scale); ok {
-		t.Error("mutated workload mapped to a cache key")
-	}
-
-	// Telemetry-carrying jobs produce collector-dependent records.
-	withTel := namedJob()
-	withTel.Tel = simtel.New(simtel.Config{SampleEvery: simtel.DefaultSampleEvery})
-	if _, ok := RequestForJob(withTel, scale); ok {
-		t.Error("telemetry job mapped to a cache key")
-	}
-
-	// A machine config that is not a registered machine.
-	resized := namedJob()
-	resized.Arch.SMsPerChiplet *= 2
-	if _, ok := RequestForJob(resized, scale); ok {
-		t.Error("mutated machine mapped to a cache key")
-	}
-
-	// The wrong scale: the workload bytes differ from the registry build.
-	if _, ok := RequestForJob(namedJob(), scale+1); ok {
-		t.Error("wrong scale mapped to a cache key")
-	}
-}
-
 // TestCachedRunnerSweep drives a mixed sweep (two registry-named cells,
 // one with a label, plus one mutated cell) through a store-backed
 // CachedRunner twice across a simulated restart: the second pass must
@@ -222,20 +175,9 @@ func TestCachedRunnerSweep(t *testing.T) {
 	defer pool.Close()
 
 	mkJob := func(policy, label string) core.Job {
-		t.Helper()
-		spec, err := kernels.ByName("vecadd", scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pol, err := rt.ByName(policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := arch.ByName("hier")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return core.Job{Workload: spec.W, Policy: pol, Arch: cfg, Label: label}
+		job := resolveJob(t, "vecadd", policy, scale)
+		job.Label = label
+		return job
 	}
 
 	dir := t.TempDir()
@@ -245,9 +187,10 @@ func TestCachedRunnerSweep(t *testing.T) {
 		defer ds.Close()
 		cache := NewCache(pool.Metrics())
 		cache.SetStore(ds)
-		runner := &CachedRunner{Inner: pool, Cache: cache, Scale: scale}
+		runner := &CachedRunner{Inner: pool, Cache: cache}
 		mutated := mkJob("ladm", "oversub")
 		mutated.Workload.Launches[0].Times += 2
+		mutated.Identity = core.Identity{}
 		runs, err := runner.Sweep(context.Background(), []core.Job{
 			mkJob("ladm", ""),
 			mkJob("h-coda", "baseline"),

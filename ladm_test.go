@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ladm"
+	"ladm/internal/simtel"
 )
 
 func TestFacadeWorkloads(t *testing.T) {
@@ -92,6 +93,81 @@ func TestFacadeSweep(t *testing.T) {
 	}, 2)
 	if err != nil || len(runs) != 2 {
 		t.Fatalf("sweep: %v, %d runs", err, len(runs))
+	}
+}
+
+func TestSweepOrderAndLabels(t *testing.T) {
+	spec, _ := ladm.Workload("vecadd", 16)
+	sys := ladm.TableIIISystem()
+	runs, err := ladm.Sweep([]ladm.Job{
+		{Workload: spec.W, Policy: ladm.BaselineRR(), Arch: sys},
+		{Workload: spec.W, Policy: ladm.LADM(), Arch: sys, Label: "tagged"},
+		{Workload: spec.W, Policy: ladm.KernelWide(), Arch: sys},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 3 {
+		t.Fatalf("results = %d", len(runs))
+	}
+	if runs[0].Policy != "baseline-rr" || runs[1].Policy != "tagged" || runs[2].Policy != "kernel-wide" {
+		t.Errorf("order/labels wrong: %s %s %s", runs[0].Policy, runs[1].Policy, runs[2].Policy)
+	}
+}
+
+func TestSweepMatchesSerial(t *testing.T) {
+	spec, _ := ladm.Workload("scalarprod", 16)
+	sys := ladm.TableIIISystem()
+	serial, err := ladm.Simulate(spec.W, sys, ladm.LADM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := ladm.Sweep([]ladm.Job{
+		{Workload: spec.W, Policy: ladm.LADM(), Arch: sys},
+		{Workload: spec.W, Policy: ladm.LADM(), Arch: sys},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if r.Cycles != serial.Cycles || r.DRAMBytes != serial.DRAMBytes {
+			t.Errorf("parallel sweep diverged from serial run")
+		}
+	}
+}
+
+func TestSweepErrors(t *testing.T) {
+	spec, _ := ladm.Workload("vecadd", 16)
+	bad := ladm.TableIIISystem()
+	bad.GPUs = 0
+	if _, err := ladm.Sweep([]ladm.Job{{Workload: spec.W, Policy: ladm.LADM(), Arch: bad}}, 4); err == nil {
+		t.Error("sweep should surface job errors")
+	}
+	// Empty sweep is fine.
+	if runs, err := ladm.Sweep(nil, 4); err != nil || len(runs) != 0 {
+		t.Errorf("empty sweep: %v %v", runs, err)
+	}
+}
+
+// TestSweepKeepsJobCollector: a sweep runs each job as fully as
+// SimulateJob does, so a job's telemetry collector sees the same trace.
+func TestSweepKeepsJobCollector(t *testing.T) {
+	spec, _ := ladm.Workload("vecadd", 16)
+	job := func() ladm.Job {
+		return ladm.Job{Workload: spec.W, Policy: ladm.LADM(), Arch: ladm.TableIIISystem(),
+			Tel: simtel.New(simtel.Config{Trace: true})}
+	}
+	direct := job()
+	if _, err := ladm.SimulateJob(direct); err != nil {
+		t.Fatal(err)
+	}
+	swept := job()
+	if _, err := ladm.Sweep([]ladm.Job{swept}, 1); err != nil {
+		t.Fatal(err)
+	}
+	want, got := len(direct.Tel.AllEvents()), len(swept.Tel.AllEvents())
+	if want == 0 || got != want {
+		t.Errorf("sweep collector saw %d trace events, SimulateJob's %d", got, want)
 	}
 }
 
