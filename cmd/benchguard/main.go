@@ -15,7 +15,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem -benchtime 1x ladm ladm/internal/engine > bench.txt
+//	go test -run '^$' -bench . -benchmem -benchtime 1x ladm ladm/internal/engine ladm/internal/analytic ladm/internal/simsvc > bench.txt
 //	go run ./cmd/benchguard -baseline BENCH_engine.json bench.txt
 //
 // After an intentional change to the engine's allocation behavior,

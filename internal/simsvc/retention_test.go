@@ -1,14 +1,21 @@
 package simsvc
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ladm/internal/stats"
 )
 
 func getBody(t *testing.T, url string) (*http.Response, []byte) {
@@ -290,5 +297,218 @@ func TestTelemetryChangesCacheKey(t *testing.T) {
 	sampled := Request{Workload: "vecadd", Scale: 8, Telemetry: true}.Normalize()
 	if plain.Key() == sampled.Key() {
 		t.Error("telemetry flag does not separate cache keys")
+	}
+}
+
+// oracleRec is one registered job as the retention oracle sees it.
+type oracleRec struct {
+	id       string
+	done     bool
+	finished time.Time
+}
+
+// sortOracleEvict is the retention rule the finish queue replaced, kept
+// as the reference: drop every finished record past the TTL, then
+// collect and sort the finished records (oldest completion first, ids
+// breaking ties) and drop from the front until the registry fits.
+func sortOracleEvict(jobs map[string]*oracleRec, max int, ttl time.Duration, now time.Time) int {
+	evicted := 0
+	if ttl > 0 {
+		for id, rec := range jobs {
+			if rec.done && now.Sub(rec.finished) > ttl {
+				delete(jobs, id)
+				evicted++
+			}
+		}
+	}
+	if max > 0 && len(jobs) > max {
+		var done []*oracleRec
+		for _, rec := range jobs {
+			if rec.done {
+				done = append(done, rec)
+			}
+		}
+		sort.Slice(done, func(i, j int) bool {
+			if !done[i].finished.Equal(done[j].finished) {
+				return done[i].finished.Before(done[j].finished)
+			}
+			return done[i].id < done[j].id
+		})
+		for _, rec := range done {
+			if len(jobs) <= max {
+				break
+			}
+			delete(jobs, rec.id)
+			evicted++
+		}
+	}
+	return evicted
+}
+
+// TestRetentionQueueMatchesSortOracle drives the registry with seeded
+// random traffic — interleaved registrations, out-of-order completions,
+// long-lived in-flight jobs, TTL ageing of the oldest finished record and
+// retention changes partway through — and checks after every
+// registration that the finish queue evicted exactly what the
+// collect-and-sort rule would have.
+func TestRetentionQueueMatchesSortOracle(t *testing.T) {
+	pool := NewPool(PoolConfig{Workers: 1, Simulate: fakeSim(new(atomic.Int64))})
+	defer pool.Close()
+	srv := NewServer(pool)
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(13, 2020))
+
+	oracle := map[string]*oracleRec{}
+	var oracleEvicted int64
+	var inflight []*jobRecord
+	// Completions get strictly increasing synthetic finish times, so the
+	// oracle's tie-break never decides; aged records sit two hours back.
+	base := time.Now()
+	clock := base
+	maxJobs, ttl := 8, time.Duration(0)
+	srv.SetRetention(maxJobs, ttl)
+
+	for step := 0; step < 4000; step++ {
+		finishes := rng.IntN(3)
+		if len(inflight) > 40 {
+			finishes += 2
+		}
+		for ; finishes > 0 && len(inflight) > 0; finishes-- {
+			i := rng.IntN(len(inflight))
+			rec := inflight[i]
+			inflight = append(inflight[:i], inflight[i+1:]...)
+			var err error
+			switch rng.IntN(6) {
+			case 0:
+				err = errors.New("simulated failure")
+			case 1:
+				err = context.Canceled
+			}
+			srv.finishJob(ctx, rec, &stats.Run{}, false, err)
+			clock = clock.Add(time.Microsecond)
+			srv.mu.Lock()
+			rec.finished = clock
+			srv.mu.Unlock()
+			if o := oracle[rec.id]; o != nil {
+				o.done, o.finished = true, clock
+			}
+		}
+		if rng.IntN(40) == 0 {
+			// Age the oldest finished record past any TTL, unless it is
+			// already aged (ageing it again would reorder the aged prefix).
+			var oldest *oracleRec
+			for _, o := range oracle {
+				if o.done && (oldest == nil || o.finished.Before(oldest.finished)) {
+					oldest = o
+				}
+			}
+			if oldest != nil && oldest.finished.After(base) {
+				oldest.finished = clock.Add(-2 * time.Hour)
+				srv.mu.Lock()
+				srv.jobs[oldest.id].finished = oldest.finished
+				srv.mu.Unlock()
+			}
+		}
+		if rng.IntN(150) == 0 {
+			maxJobs = []int{0, 1, 3, 8, 50}[rng.IntN(5)]
+			ttl = []time.Duration{0, time.Hour}[rng.IntN(2)]
+			srv.SetRetention(maxJobs, ttl)
+		}
+
+		rec := srv.register(ctx, Request{Workload: "vecadd", Scale: 8}.Normalize())
+		inflight = append(inflight, rec)
+		oracle[rec.id] = &oracleRec{id: rec.id}
+		oracleEvicted += int64(sortOracleEvict(oracle, maxJobs, ttl, time.Now()))
+
+		srv.mu.Lock()
+		got := make([]string, 0, len(srv.jobs))
+		finished := 0
+		for id, r := range srv.jobs {
+			got = append(got, id)
+			if finishedStatus(r.status) {
+				finished++
+			}
+		}
+		queued, backing := len(srv.done)-srv.doneHead, len(srv.done)
+		// Popped and compacted-away slots must not pin evicted records.
+		stale := slices.ContainsFunc(srv.done[:srv.doneHead], isRecord) ||
+			slices.ContainsFunc(srv.done[len(srv.done):cap(srv.done)], isRecord)
+		srv.mu.Unlock()
+		want := make([]string, 0, len(oracle))
+		for id := range oracle {
+			want = append(want, id)
+		}
+		sort.Strings(got)
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d (max %d, ttl %v): registry %v, oracle %v", step, maxJobs, ttl, got, want)
+		}
+		if ev := pool.Metrics().evicted.Load(); ev != oracleEvicted {
+			t.Fatalf("step %d: evicted counter %d, oracle %d", step, ev, oracleEvicted)
+		}
+		if stale {
+			t.Fatalf("step %d: the queue's dead slots still reference records", step)
+		}
+		if queued != finished || backing > 2*finished {
+			t.Fatalf("step %d: queue holds %d (backing %d), registry has %d finished records",
+				step, queued, backing, finished)
+		}
+	}
+	if oracleEvicted == 0 {
+		t.Fatal("traffic never triggered an eviction")
+	}
+}
+
+func isRecord(rec *jobRecord) bool { return rec != nil }
+
+// TestIDOrderPastAMillion: ids are zero-padded to six digits, so past
+// 10^6 their strings no longer sort in registration order
+// ("job-1000000" < "job-999999"). GET /jobs and sweep eviction must
+// follow the numeric sequence.
+func TestIDOrderPastAMillion(t *testing.T) {
+	var calls atomic.Int64
+	ts, srv := newTestService(t, &calls)
+	postJSON(t, ts.URL+"/run", Request{Workload: "vecadd", Scale: 8})
+	srv.mu.Lock()
+	srv.nextID = 999998
+	srv.mu.Unlock()
+	for i := 0; i < 3; i++ {
+		postJSON(t, ts.URL+"/run", Request{Workload: "vecadd", Scale: 8})
+	}
+	_, body := getBody(t, ts.URL+"/jobs")
+	var views []JobView
+	if err := json.Unmarshal(body, &views); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, v := range views {
+		ids = append(ids, v.ID)
+	}
+	want := []string{"job-000001", "job-999999", "job-1000000", "job-1000001"}
+	if !slices.Equal(ids, want) {
+		t.Errorf("GET /jobs order = %v, want %v", ids, want)
+	}
+
+	// Fill the sweep registry to its bound with finished sweeps whose ids
+	// cross 10^6; the next registration must evict the oldest one.
+	srv.mu.Lock()
+	srv.nextSweep = 999998
+	srv.mu.Unlock()
+	for i := 0; i <= retainSweeps; i++ {
+		sw := srv.registerSweep(nil)
+		sw.mu.Lock()
+		sw.finished = time.Now()
+		sw.mu.Unlock()
+	}
+	srv.mu.Lock()
+	_, oldest := srv.sweeps["sweep-999999"]
+	_, next := srv.sweeps["sweep-1000000"]
+	n := len(srv.sweeps)
+	srv.mu.Unlock()
+	if n != retainSweeps {
+		t.Errorf("sweep registry holds %d, want %d", n, retainSweeps)
+	}
+	if oldest || !next {
+		t.Errorf("sweep eviction kept sweep-999999=%v, sweep-1000000=%v; want the oldest evicted", oldest, next)
 	}
 }

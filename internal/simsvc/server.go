@@ -44,6 +44,7 @@ type JobView struct {
 
 type jobRecord struct {
 	id        string
+	seq       int // registration order; ids stop sorting by it past 10^6
 	req       Request
 	key       JobKey
 	status    string
@@ -66,6 +67,7 @@ type jobRecord struct {
 // sweepRecord tracks one submitted sweep's progress across its cells.
 type sweepRecord struct {
 	id      string
+	seq     int
 	recs    []*jobRecord
 	hub     *eventHub
 	created time.Time
@@ -142,6 +144,10 @@ type Server struct {
 	// registration time. Zero values disable the respective limit.
 	retainMax int
 	retainTTL time.Duration
+	// done[doneHead:] holds the registered finished records in finish
+	// order, so eviction pops its front instead of sorting the registry.
+	done     []*jobRecord
+	doneHead int
 
 	// jobTimeout bounds each job's execution (0 = unbounded): the
 	// deadline rides the job's context through the pool into the engine,
@@ -455,6 +461,7 @@ func (s *Server) register(ctx context.Context, req Request) *jobRecord {
 	s.nextID++
 	rec := &jobRecord{
 		id:        fmt.Sprintf("job-%06d", s.nextID),
+		seq:       s.nextID,
 		req:       req,
 		key:       req.Key(),
 		status:    StatusQueued,
@@ -484,6 +491,7 @@ func (s *Server) registerSweep(recs []*jobRecord) *sweepRecord {
 	s.nextSweep++
 	sw := &sweepRecord{
 		id:      fmt.Sprintf("sweep-%06d", s.nextSweep),
+		seq:     s.nextSweep,
 		recs:    recs,
 		hub:     newEventHub(s.pool.Metrics()),
 		created: time.Now(),
@@ -498,7 +506,7 @@ func (s *Server) registerSweep(recs []*jobRecord) *sweepRecord {
 			}
 			old.mu.Unlock()
 		}
-		sort.Slice(done, func(i, j int) bool { return done[i].id < done[j].id })
+		sort.Slice(done, func(i, j int) bool { return done[i].seq < done[j].seq })
 		for _, old := range done {
 			if len(s.sweeps) <= retainSweeps {
 				break
@@ -515,38 +523,26 @@ func finishedStatus(status string) bool {
 
 // evictLocked applies the retention policy: finished records past the
 // TTL go first, then the oldest finished records until the registry fits
-// retainMax. Requires s.mu.
+// retainMax. The finish queue is ordered by finish time, so the expired
+// records are its prefix and each eviction is one pop. Requires s.mu.
 func (s *Server) evictLocked(now time.Time) {
 	evicted := 0
-	if s.retainTTL > 0 {
-		for id, rec := range s.jobs {
-			if finishedStatus(rec.status) && now.Sub(rec.finished) > s.retainTTL {
-				delete(s.jobs, id)
-				evicted++
-			}
+	for ; s.doneHead < len(s.done); s.doneHead++ {
+		rec := s.done[s.doneHead]
+		expired := s.retainTTL > 0 && now.Sub(rec.finished) > s.retainTTL
+		if !expired && (s.retainMax <= 0 || len(s.jobs) <= s.retainMax) {
+			break
 		}
+		delete(s.jobs, rec.id)
+		s.done[s.doneHead] = nil
+		evicted++
 	}
-	if s.retainMax > 0 && len(s.jobs) > s.retainMax {
-		var done []*jobRecord
-		for _, rec := range s.jobs {
-			if finishedStatus(rec.status) {
-				done = append(done, rec)
-			}
-		}
-		// Oldest completions go first; ids break ties deterministically.
-		sort.Slice(done, func(i, j int) bool {
-			if !done[i].finished.Equal(done[j].finished) {
-				return done[i].finished.Before(done[j].finished)
-			}
-			return done[i].id < done[j].id
-		})
-		for _, rec := range done {
-			if len(s.jobs) <= s.retainMax {
-				break
-			}
-			delete(s.jobs, rec.id)
-			evicted++
-		}
+	// Compact once the popped head outgrows the live tail: amortized O(1),
+	// and the backing array stays within twice the finished records.
+	if s.doneHead > len(s.done)/2 {
+		n := copy(s.done, s.done[s.doneHead:])
+		clear(s.done[n:])
+		s.done, s.doneHead = s.done[:n], 0
 	}
 	if evicted > 0 {
 		s.pool.Metrics().evicted.Add(int64(evicted))
@@ -624,6 +620,7 @@ func (s *Server) finishJob(ctx context.Context, rec *jobRecord, run *stats.Run, 
 	}
 	s.mu.Lock()
 	rec.finished = time.Now()
+	s.done = append(s.done, rec)
 	rec.run, rec.cached, rec.err = run, cached, err
 	switch {
 	case err == nil:
@@ -903,7 +900,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		recs = append(recs, rec)
 	}
 	s.mu.Unlock()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
+	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 	writeJSON(w, http.StatusOK, s.views(recs))
 }
 

@@ -441,28 +441,34 @@ func TestServerJobTimeout(t *testing.T) {
 	waitFor(t, func() bool { return pool.Metrics().Snapshot().Timeouts >= 1 })
 }
 
+// cacheHit returns a closure that serves one in-process synchronous
+// POST /run for a fixed cell: the first call simulates it, every later
+// call is a cache hit that registers one more job.
+func cacheHit(tb testing.TB, srv *Server) func() {
+	h := srv.Handler()
+	body := []byte(`{"workload":"sq-gemm","policy":"ladm","scale":8}`)
+	return func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("POST /run answered %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestRunCacheHitAllocs pins the cost of a synchronous POST /run cache
 // hit, handled in-process: the JobKey comes from the request alone, so
 // the hit validates names and probes the cache without building a
-// kernel. A Resolve before the probe would blow the ceiling.
+// kernel. A Resolve before the probe would blow the ceiling. Past
+// DefaultRetainJobs every hit's registration also evicts one finished
+// record, which must cost a pop from the finish queue, not a sort of the
+// whole registry.
 func TestRunCacheHitAllocs(t *testing.T) {
 	var calls atomic.Int64
 	_, srv := newTestService(t, &calls)
-	h := srv.Handler()
-	body := []byte(`{"workload":"sq-gemm","policy":"ladm","scale":8}`)
-	serve := func() int {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
-		return rec.Code
-	}
-	if code := serve(); code != http.StatusOK {
-		t.Fatalf("warm-up run answered %d", code)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if code := serve(); code != http.StatusOK {
-			t.Fatalf("cache hit answered %d", code)
-		}
-	})
+	serve := cacheHit(t, srv)
+	serve() // warm-up: the one simulation
+	allocs := testing.AllocsPerRun(50, serve)
 	t.Logf("allocs per cache hit: %.0f", allocs)
 	if calls.Load() != 1 {
 		t.Errorf("simulations = %d, want 1", calls.Load())
@@ -472,5 +478,42 @@ func TestRunCacheHitAllocs(t *testing.T) {
 	const ceiling = 150
 	if allocs > ceiling {
 		t.Errorf("cache hit allocated %.0f times, ceiling %d", allocs, ceiling)
+	}
+
+	for range DefaultRetainJobs {
+		serve()
+	}
+	srv.mu.Lock()
+	n := len(srv.jobs)
+	srv.mu.Unlock()
+	if n != DefaultRetainJobs {
+		t.Fatalf("registry holds %d jobs, want the bound %d", n, DefaultRetainJobs)
+	}
+	// Measured: 128 at the bound; sorting the registry made it 146.
+	atBound := testing.AllocsPerRun(50, serve)
+	t.Logf("allocs per cache hit at the registry bound: %.0f", atBound)
+	if atBound > allocs+5 {
+		t.Errorf("a cache hit at the registry bound allocates %.0f times, %.0f below it (limit +5)", atBound, allocs)
+	}
+}
+
+// BenchmarkRunCacheHitAtBound times in-process synchronous POST /run
+// cache hits with the job registry at DefaultRetainJobs, where every
+// registration evicts one finished record. One op is hitsPerOp hits, so
+// that a -benchtime 1x run does not time a single request.
+func BenchmarkRunCacheHitAtBound(b *testing.B) {
+	pool := NewPool(PoolConfig{Workers: 1, Simulate: fakeSim(new(atomic.Int64))})
+	defer pool.Close()
+	serve := cacheHit(b, NewServer(pool))
+	for range DefaultRetainJobs + 1 {
+		serve()
+	}
+	const hitsPerOp = 100
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for range hitsPerOp {
+			serve()
+		}
 	}
 }
